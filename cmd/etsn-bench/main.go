@@ -14,8 +14,7 @@
 //	etsn-bench [-experiment all|headline|fig11|fig12|fig14|fig15|fig16]
 //	           [-duration 4s] [-seed 60802] [-parallel N]
 //	           [-engine seq|shard] [-shards N]
-//	           [-backend auto|placer|greedy|tabu|anneal|smt|smt-incremental|race]
-//	           [-backend-compare]
+//	           [-backend NAME]
 //	           [-compare-sequential] [-attrib]
 //	           [-metrics out.prom] [-trace-phases out.trace.json]
 //	           [-pprof cpu=FILE|mem=FILE|HOST:PORT]
@@ -59,14 +58,14 @@
 // bench/history.jsonl). After the last experiment the process keeps
 // serving until SIGINT/SIGTERM, then drains gracefully.
 //
-// -backend NAME plans every simulation with that scheduling backend
-// (default auto: placer with exact-SMT fallback; "race" runs them all
-// concurrently and takes the first verified plan in priority order).
-// -backend-compare appends a per-backend comparison section (schedulable
-// ratio and solve wall over the load grid) to the fig11 and fig14 tables.
-// The "backends" experiment benchmarks every backend standalone plus the
-// race over the fig11 load grid and emits BENCH_backends.json, gated by
-// -check-bench (see bench/BENCH_backends.json).
+// -backend NAME plans every simulation with that scheduling backend, one of
+// core.BackendNames() (default auto: placer with exact-SMT fallback;
+// "race" tries the placer, anneal and smt-incremental in turn and takes the
+// first verified plan). The "backends" experiment benchmarks every race
+// member standalone plus the race over the fig11 load grid, counts each
+// member's rescues of placer failures over a contended family, and emits
+// BENCH_backends.json, gated by -check-bench (see
+// bench/BENCH_backends.json).
 package main
 
 import (
@@ -114,9 +113,8 @@ func run(args []string, w io.Writer) error {
 	history := fs.String("history", "", "append one {experiment, wall_ms, parallel, seed} JSON line per run to this file")
 	engine := fs.String("engine", "", "simulation engine for every run: seq (default) or shard (conservative-parallel, internal/psim)")
 	shards := fs.Int("shards", 0, "shard count for -engine shard (0 = GOMAXPROCS)")
-	backendName := fs.String("backend", "", "scheduling backend for every plan: auto (default), placer, greedy, tabu, anneal, smt, smt-incremental, or race")
+	backendName := fs.String("backend", "", "scheduling backend for every plan: "+core.BackendNames()+" (default auto)")
 	decompose := fs.Bool("decompose", false, "split every E-TSN solve into conflict-graph components solved independently and merged")
-	backendCompare := fs.Bool("backend-compare", false, "append a per-backend comparison section to the fig11/fig14 tables (walls are not byte-stable)")
 	trend := fs.String("trend", "", "analyze a wall-time history file (bench/history.jsonl) for regressions and exit")
 	trendThreshold := fs.Float64("trend-threshold", 0.10, "flag a run whose wall time exceeds its rolling baseline by more than this fraction")
 	trendStrict := fs.Bool("trend-strict", false, "exit with code 2 when -trend flags a regression")
@@ -161,7 +159,7 @@ func run(args []string, w io.Writer) error {
 	}
 	opts := experiments.RunOptions{Duration: *duration, Seed: *seed, Parallel: *parallel,
 		Attribution: *attribOn, Engine: *engine, Shards: *shards,
-		Backend: backend, Decompose: *decompose, BackendCompare: *backendCompare}
+		Backend: backend, Decompose: *decompose}
 
 	// -dash: serve the live dashboard for the whole run. Each experiment
 	// publishes its fresh registry/tracer as it starts (runOne), so SSE
@@ -218,10 +216,6 @@ func run(args []string, w io.Writer) error {
 				return err
 			}
 			r.WriteTable(w)
-			if len(r.Backends) > 0 {
-				fmt.Fprintln(w)
-				r.WriteBackendTable(w)
-			}
 			return nil
 		}},
 		{"fig12", func(o experiments.RunOptions, w io.Writer) error {
@@ -238,10 +232,6 @@ func run(args []string, w io.Writer) error {
 				return err
 			}
 			r.WriteTable(w)
-			if len(r.Backends) > 0 {
-				fmt.Fprintln(w)
-				r.WriteBackendTable(w)
-			}
 			return nil
 		}},
 		{"fig15", func(o experiments.RunOptions, w io.Writer) error {

@@ -3,9 +3,11 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -75,24 +77,64 @@ func TestRunHeadlineInstrumented(t *testing.T) {
 	}
 	var doc struct {
 		TraceEvents []struct {
-			Name string  `json:"name"`
-			Ph   string  `json:"ph"`
-			Dur  float64 `json:"dur"`
+			Name string            `json:"name"`
+			Ph   string            `json:"ph"`
+			Dur  float64           `json:"dur"`
+			Tid  int               `json:"tid"`
+			Args map[string]string `json:"args"`
 		} `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(tdata, &doc); err != nil {
 		t.Fatalf("chrome trace is not JSON: %v", err)
 	}
+	// Complete ("X") events carry the phases; when the experiment's cells
+	// fan out (the default -parallel is GOMAXPROCS), each cell's spans sit
+	// on their own thread row, named by one thread_name ("M") event.
 	got := map[string]bool{}
+	rows := map[int]string{}
+	spansOn := map[int]int{}
 	for _, e := range doc.TraceEvents {
-		if e.Ph != "X" {
+		switch e.Ph {
+		case "X":
+			got[e.Name] = true
+			spansOn[e.Tid]++
+		case "M":
+			if e.Name != "thread_name" || e.Args["name"] == "" {
+				t.Fatalf("unexpected metadata event %q (args %v)", e.Name, e.Args)
+			}
+			if prev, dup := rows[e.Tid]; dup {
+				t.Fatalf("thread %d named twice: %q and %q", e.Tid, prev, e.Args["name"])
+			}
+			rows[e.Tid] = e.Args["name"]
+		default:
 			t.Fatalf("unexpected event phase %q", e.Ph)
 		}
-		got[e.Name] = true
 	}
 	for _, want := range []string{"expand", "reserve", "solve", "simulate"} {
 		if !got[want] {
 			t.Errorf("trace missing phase %q (have %v)", want, got)
+		}
+	}
+	wantRows := 0
+	if runtime.GOMAXPROCS(0) > 1 {
+		wantRows = len(experiments.AllMethods)
+	}
+	if len(rows) != wantRows {
+		t.Fatalf("trace names %d thread rows %v, want one per experiment cell (%d)", len(rows), rows, wantRows)
+	}
+	tidOf := map[string]int{}
+	for tid, name := range rows {
+		tidOf[name] = tid
+	}
+	for cell := 0; cell < wantRows; cell++ {
+		name := fmt.Sprintf("cell %d", cell)
+		if tid, ok := tidOf[name]; !ok || spansOn[tid] == 0 {
+			t.Fatalf("no spans on a thread row named %q (rows %v)", name, rows)
+		}
+	}
+	for tid, n := range spansOn {
+		if _, named := rows[tid]; tid != 1 && !named {
+			t.Fatalf("%d spans on unnamed thread %d", n, tid)
 		}
 	}
 

@@ -13,8 +13,9 @@
 //     adjacent-link constraints over the frame offsets, all expressible in
 //     integer difference logic.
 //  4. Solving: either the exact SMT backend (internal/smt, substituting the
-//     paper's Z3), a fast first-fit placer, or a hybrid that tries the
-//     placer first; optionally Steiner-style incremental solving.
+//     paper's Z3), a fast first-fit placer, a phase-shift annealer, or a
+//     chain that tries the placer first; optionally Steiner-style
+//     incremental solving.
 //
 // Every produced schedule is re-checked by an independent verifier
 // (Verify), so a placer bug cannot silently yield an invalid schedule.
@@ -24,6 +25,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"time"
 
 	"etsn/internal/model"
@@ -54,98 +56,62 @@ const (
 	// BackendSMTIncremental adds streams to the SMT solver one at a time
 	// (Steiner-style incremental schedule synthesis).
 	BackendSMTIncremental
-	// BackendGreedy is the as-late-as-possible greedy placer: frames are
-	// committed in reverse path order against their deadlines, leaving the
-	// front of each period free for later streams.
-	BackendGreedy
-	// BackendTabu searches over rigid per-stream phase shifts with a tabu
-	// list over recently moved streams.
-	BackendTabu
-	// BackendAnneal searches the same phase-shift space by simulated
-	// annealing with a fixed seed (deterministic).
+	// BackendAnneal searches over rigid per-stream phase shifts by
+	// simulated annealing with a fixed seed (deterministic).
 	BackendAnneal
-	// BackendRace races all backends in Options.Race under a shared
-	// context; the highest-priority verified-feasible plan wins.
+	// BackendRace runs the placer, anneal and smt-incremental in that
+	// order as a verified fallback chain (see RaceOrder); the first
+	// verifier-clean plan wins.
 	BackendRace
 )
 
+// backendNames is the backend axis, declared once: String, ParseBackend,
+// Backends and BackendNames all derive from it.
+var backendNames = [...]string{
+	BackendAuto:           "auto",
+	BackendPlacer:         "placer",
+	BackendSMT:            "smt",
+	BackendSMTIncremental: "smt-incremental",
+	BackendAnneal:         "anneal",
+	BackendRace:           "race",
+}
+
 // String names the backend.
 func (b Backend) String() string {
-	switch b {
-	case BackendAuto:
-		return "auto"
-	case BackendPlacer:
-		return "placer"
-	case BackendSMT:
-		return "smt"
-	case BackendSMTIncremental:
-		return "smt-incremental"
-	case BackendGreedy:
-		return "greedy"
-	case BackendTabu:
-		return "tabu"
-	case BackendAnneal:
-		return "anneal"
-	case BackendRace:
-		return "race"
-	default:
-		return fmt.Sprintf("Backend(%d)", int(b))
+	if b >= BackendAuto && int(b) < len(backendNames) {
+		return backendNames[b]
 	}
+	return fmt.Sprintf("Backend(%d)", int(b))
+}
+
+// Backends lists every accepted backend in declaration order.
+func Backends() []Backend {
+	out := make([]Backend, 0, len(backendNames)-1)
+	for b := BackendAuto; int(b) < len(backendNames); b++ {
+		out = append(out, b)
+	}
+	return out
+}
+
+// BackendNames is the accepted backend names joined by "|", for flag help
+// and error messages.
+func BackendNames() string {
+	return strings.Join(backendNames[BackendAuto:], "|")
 }
 
 // ParseBackend maps a backend name (as accepted by the -backend CLI flags
 // and the qcc "backend" config key) to its enum value. The empty string
 // selects BackendAuto.
 func ParseBackend(name string) (Backend, error) {
-	switch name {
-	case "", "auto":
+	if name == "" {
 		return BackendAuto, nil
-	case "placer":
-		return BackendPlacer, nil
-	case "smt":
-		return BackendSMT, nil
-	case "smt-incremental":
-		return BackendSMTIncremental, nil
-	case "greedy":
-		return BackendGreedy, nil
-	case "tabu":
-		return BackendTabu, nil
-	case "anneal":
-		return BackendAnneal, nil
-	case "race":
-		return BackendRace, nil
-	default:
-		return 0, fmt.Errorf("%w: unknown backend %q (want auto|placer|greedy|tabu|anneal|smt|smt-incremental|race)",
-			ErrInvalidProblem, name)
 	}
-}
-
-// Capabilities describes what a backend guarantees about its answers.
-type Capabilities struct {
-	// Exact backends are complete: a failure is a proof of infeasibility
-	// (or a budget exhaustion, which is reported as such). Heuristic
-	// backends only ever give up; their failures carry no proof.
-	Exact bool
-	// Deterministic backends produce byte-identical schedules for the same
-	// problem across runs (the SMT backends at Portfolio <= 1; the anneal
-	// backend runs from a fixed seed).
-	Deterministic bool
-	// Anytime backends honor context cancellation promptly mid-search.
-	Anytime bool
-}
-
-// Capabilities reports the backend's guarantees.
-func (b Backend) Capabilities() Capabilities {
-	switch b {
-	case BackendSMT, BackendSMTIncremental:
-		return Capabilities{Exact: true, Deterministic: true, Anytime: true}
-	case BackendTabu, BackendAnneal:
-		return Capabilities{Deterministic: true, Anytime: true}
-	default:
-		// The placers run to completion in bounded time instead of
-		// polling the context.
-		return Capabilities{Deterministic: true}
+	for _, b := range Backends() {
+		if backendNames[b] == name {
+			return b, nil
+		}
 	}
+	return 0, fmt.Errorf("%w: unknown backend %q (want %s)", ErrInvalidProblem, name, BackendNames())
 }
 
 // DefaultNProb is the default number of probabilistic streams (possibility
@@ -167,8 +133,8 @@ type Options struct {
 	// MaxDecisions bounds SMT search effort; zero means unlimited.
 	MaxDecisions int64
 	// Timeout bounds the solve's wall-clock time — for every backend, not
-	// just SMT: ScheduleContext derives a deadline context the heuristic
-	// searches and the race observe. Zero means unlimited.
+	// just SMT: ScheduleContext derives a deadline context the annealer
+	// and the race observe. Zero means unlimited.
 	Timeout time.Duration
 	// DisablePrudentReservation turns Alg. 1 off (for ablation only; the
 	// verifier will typically report TCT deadline risks without it).
@@ -189,13 +155,6 @@ type Options struct {
 	// at the first satisfying assignment (binary-search optimization over
 	// the exact solver). Ignored by the placer.
 	MinimizeECT bool
-	// Race lists the backends BackendRace runs, in priority order: the
-	// lowest-indexed backend that returns a verified-feasible plan wins,
-	// which makes the winner (and so the emitted schedule) deterministic
-	// regardless of which backend finishes first. Empty means
-	// DefaultRaceBackends. Entries must be concrete backends (not
-	// BackendAuto or BackendRace).
-	Race []Backend
 	// Portfolio is the number of diversified SMT solver replicas raced on
 	// the monolithic (non-incremental) solve: the first definitive answer
 	// wins and cancels the rest. Values <= 1 keep the single deterministic
@@ -320,8 +279,8 @@ func Schedule(p *Problem) (*Result, error) {
 }
 
 // ScheduleContext solves the problem under a context: cancellation stops
-// the SMT backends and the heuristic searches (the two placers run to
-// completion in bounded time instead of polling).
+// the SMT backends and the annealer (the placer runs to completion in
+// bounded time instead of polling).
 func ScheduleContext(ctx context.Context, p *Problem) (*Result, error) {
 	opts := p.Opts.withDefaults()
 	// Timeout bounds this call for every backend uniformly: the SMT
@@ -393,10 +352,6 @@ func solveBackend(ctx context.Context, inst *instance, b Backend) (*Result, erro
 	switch b {
 	case BackendPlacer:
 		res, err = solvePlacer(inst)
-	case BackendGreedy:
-		res, err = solveGreedy(ctx, inst)
-	case BackendTabu:
-		res, err = solveTabu(ctx, inst)
 	case BackendAnneal:
 		res, err = solveAnneal(ctx, inst)
 	case BackendSMT:

@@ -191,7 +191,7 @@ func TestConflictComponentsLinkSharingJoins(t *testing.T) {
 // independent verifier and the decomposition actually engaged.
 func TestDecomposedPlanVerifies(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
-		for _, b := range []Backend{BackendPlacer, BackendGreedy, BackendRace} {
+		for _, b := range []Backend{BackendPlacer, BackendAnneal, BackendRace} {
 			n, p := multiCellProblem(t, seed, 3)
 			p.Opts.Backend = b
 			p.Opts.Decompose = true
@@ -369,7 +369,7 @@ func TestDecomposeRoutingStillFires(t *testing.T) {
 	}{
 		{"D0", "SWa", fast}, {"D1", "SWb", fast},
 		{"SWa", "SWb", model.LinkConfig{Bandwidth: 10_000_000}}, // slow direct
-		{"SWa", "SWx", fast}, {"SWx", "SWb", fast},              // fast detour
+		{"SWa", "SWx", fast}, {"SWx", "SWb", fast}, // fast detour
 		{"D2", "SWc", fast}, {"D3", "SWc", fast}, {"SWc", "SWx", fast},
 	} {
 		if err := n.AddLink(l.a, l.b, l.cfg); err != nil {

@@ -6,9 +6,9 @@ import (
 	"etsn/internal/model"
 )
 
-// The tabu and annealing backends share one move space: every stream is
-// frozen into its rigid ASAP chain (chainMins), and the search shifts whole
-// chains by a per-stream phase delta. A rigid shift preserves every
+// The annealing backend searches this move space: every stream is frozen
+// into its rigid ASAP chain (chainMins), and the search shifts whole chains
+// by a per-stream phase delta. A rigid shift preserves every
 // intra-stream constraint (sequencing, adjacency, and a deterministic
 // stream's end-to-end span) by construction, so the only thing the search
 // must repair is inter-stream slot overlap — counted exactly over the
@@ -293,4 +293,40 @@ func (h *heurState) extract(backend Backend) *Result {
 	res := extractSchedule(h.inst, func(k frameKey) int64 { return vphi[k] })
 	res.BackendUsed = backend
 	return res
+}
+
+// chainMins computes, for every frame of one stream, the earliest virtual
+// start the stream's *own* constraints allow (occurrence time, same-link
+// sequencing, adjacent-link arrival), ignoring other streams. These are
+// hard lower bounds on any schedule, used as the rigid chain layout.
+func chainMins(inst *instance, s *model.Stream) map[frameKey]int64 {
+	mins := make(map[frameKey]int64)
+	for li, lid := range s.Path {
+		count := inst.frames[s.ID][lid]
+		for j := 0; j < count; j++ {
+			lb := int64(0)
+			if li == 0 && j == 0 && s.Type == model.StreamProb {
+				lb = inst.otUnits[s.ID]
+			}
+			if j > 0 {
+				lb = maxI64(lb, mins[frameKey{stream: s.ID, link: lid, index: j - 1}]+inst.frameLen(s, lid, j-1))
+			}
+			if li > 0 {
+				up := s.Path[li-1]
+				cUp := inst.frames[s.ID][up]
+				o := cUp - count
+				if o < 0 {
+					o = 0
+				}
+				upIdx := j + o
+				if upIdx >= cUp {
+					upIdx = cUp - 1
+				}
+				arr := mins[frameKey{stream: s.ID, link: up, index: upIdx}] + inst.frameLen(s, up, upIdx) + inst.propUnits[up]
+				lb = maxI64(lb, arr)
+			}
+			mins[frameKey{stream: s.ID, link: lid, index: j}] = lb
+		}
+	}
+	return mins
 }

@@ -4,117 +4,61 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 )
 
-// DefaultRaceBackends is the priority order BackendRace uses when
-// Options.Race is empty: the cheap placers first (so the race wall tracks
-// them whenever they close the instance), the phase-shift heuristics next,
-// and the exact incremental SMT solver as the completeness anchor.
-func DefaultRaceBackends() []Backend {
-	return []Backend{BackendPlacer, BackendGreedy, BackendTabu, BackendAnneal, BackendSMTIncremental}
-}
+// raceOrder is BackendRace's fixed fallback chain: the first-fit placer
+// (which closes nearly every instance, so the race wall tracks it), the
+// phase-shift annealer (which rescues placer failures the no-wrap SMT
+// formulation reports unsatisfiable), and the exact incremental SMT
+// solver as the completeness anchor.
+var raceOrder = [...]Backend{BackendPlacer, BackendAnneal, BackendSMTIncremental}
 
-// solveRace runs the cross-backend portfolio: every backend in the
-// priority list solves the same instance concurrently, and the winner is
-// the *lowest-priority-index* backend whose plan passes the independent
-// verifier — not the first to finish. That rule makes the winner (and so
-// the emitted schedule) deterministic for any mix of finish times, at the
-// cost of waiting for backends ahead of an already-successful one; since
-// the cheap placers sit at the front of the default order, that wait is
-// the common fast path, not a tax. A backend's success cancels everything
-// behind it in the priority list. Every candidate plan is re-checked by
-// Verify before it can win, so a heuristic bug can never ship an invalid
-// schedule — a rejected plan just demotes that backend to a failure.
+// RaceOrder returns the backends BackendRace runs, in order.
+func RaceOrder() []Backend { return append([]Backend(nil), raceOrder[:]...) }
+
+// solveRace runs the race as a sequential verified fallback: each backend
+// of raceOrder solves the instance in turn under the caller's context, and
+// the first plan that passes the independent verifier wins. A failed or
+// rejected step falls through to the next, so the winner is the
+// lowest-priority-index verified success — deterministic, and identical to
+// the placer's own plan whenever the placer succeeds. When every step
+// fails the error is smt-incremental's verdict, with the placer's
+// PlaceFailure chained in so rerouting callers (ScheduleWithRouting) can
+// still identify the stuck stream.
 func solveRace(ctx context.Context, inst *instance) (*Result, error) {
-	order := inst.opts.Race
-	if len(order) == 0 {
-		order = DefaultRaceBackends()
-	}
-	for _, b := range order {
-		if b == BackendAuto || b == BackendRace {
-			return nil, fmt.Errorf("%w: backend %v cannot run inside a race", ErrInvalidProblem, b)
-		}
-	}
 	reg := inst.opts.Obs
 	if reg != nil {
 		reg.Counter("etsn_backend_races_total").Inc()
 	}
-
-	type entry struct {
-		res    *Result
-		err    error
-		cancel context.CancelFunc
-		done   chan struct{}
-	}
-	entries := make([]*entry, len(order))
-	var wg sync.WaitGroup
-	for i, b := range order {
-		bctx, cancel := context.WithCancel(ctx)
-		e := &entry{cancel: cancel, done: make(chan struct{})}
-		entries[i] = e
-		wg.Add(1)
-		go func(e *entry, b Backend) {
-			defer wg.Done()
-			defer close(e.done)
-			// Each racer gets its own options view: solvers never write the
-			// shared instance maps, but they may tune their own budgets.
-			ri := *inst
-			ri.opts.Backend = b
-			res, err := solveBackend(bctx, &ri, b)
-			if err == nil {
-				if vs := Verify(inst.problem.Network, res); len(vs) > 0 {
-					if reg != nil {
-						reg.Counter(`etsn_backend_verify_rejects_total{backend="` + b.String() + `"}`).Inc()
-					}
-					err = fmt.Errorf("%w: race: backend %v plan rejected by verifier (%d violations, first: %s)",
-						ErrBudget, b, len(vs), vs[0])
-					res = nil
+	var err, placerErr error
+	for _, b := range raceOrder {
+		// Each step gets its own options view: solvers never write the
+		// shared instance maps, but they may tune their own budgets.
+		step := *inst
+		step.opts.Backend = b
+		var res *Result
+		res, err = solveBackend(ctx, &step, b)
+		if err == nil {
+			vs := Verify(inst.problem.Network, res)
+			if len(vs) == 0 {
+				if reg != nil {
+					reg.Counter(`etsn_backend_wins_total{backend="` + b.String() + `"}`).Inc()
 				}
+				return res, nil
 			}
-			e.res, e.err = res, err
-		}(e, b)
-	}
-	// Deterministic winner selection: walk the priority list, waiting for
-	// each backend in turn (everything behind keeps racing meanwhile); the
-	// first verified success wins and cancels the rest.
-	winner := -1
-	for i := range entries {
-		<-entries[i].done
-		if entries[i].err == nil {
-			winner = i
-			break
-		}
-	}
-	for _, e := range entries {
-		e.cancel()
-	}
-	// No goroutine outlives the race: every racer is joined before return.
-	wg.Wait()
-	if winner >= 0 {
-		if reg != nil {
-			reg.Counter(`etsn_backend_wins_total{backend="` + order[winner].String() + `"}`).Inc()
-		}
-		return entries[winner].res, nil
-	}
-	// Every backend failed. An exact backend's infeasibility verdict is a
-	// proof and wins over heuristic give-ups; otherwise report the
-	// highest-priority failure (budget/cancellation flavored). A placer's
-	// PlaceFailure rides along in the chain either way so rerouting
-	// callers (ScheduleWithRouting) can still identify the stuck stream.
-	for i, e := range entries {
-		if order[i].Capabilities().Exact && errors.Is(e.err, ErrInfeasible) {
-			var pf *PlaceFailure
-			for _, o := range entries {
-				if errors.As(o.err, &pf) {
-					return nil, fmt.Errorf("%w (placer: %w)", e.err, o.err)
-				}
+			if reg != nil {
+				reg.Counter(`etsn_backend_verify_rejects_total{backend="` + b.String() + `"}`).Inc()
 			}
-			return nil, e.err
+			err = fmt.Errorf("%w: race: backend %v plan rejected by verifier (%d violations, first: %s)",
+				ErrBudget, b, len(vs), vs[0])
+		}
+		if b == BackendPlacer {
+			placerErr = err
 		}
 	}
-	if ctx.Err() != nil && !errors.Is(entries[0].err, ErrInfeasible) {
-		return nil, fmt.Errorf("%w: race: %v (first backend: %v)", ErrBudget, ctx.Err(), entries[0].err)
+	var pf *PlaceFailure
+	if errors.As(placerErr, &pf) && !errors.As(err, &pf) {
+		return nil, fmt.Errorf("%w (placer: %w)", err, placerErr)
 	}
-	return nil, fmt.Errorf("race: no backend produced a feasible plan: %w", entries[0].err)
+	return nil, err
 }

@@ -5,21 +5,20 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"testing"
 	"time"
 
 	"etsn/internal/model"
 )
 
-// allConcreteBackends are the backends a race may contain.
+// allConcreteBackends are the backends that solve on their own (everything
+// but the auto and race compositions).
 var allConcreteBackends = []Backend{
-	BackendPlacer, BackendGreedy, BackendTabu, BackendAnneal,
-	BackendSMT, BackendSMTIncremental,
+	BackendPlacer, BackendAnneal, BackendSMT, BackendSMTIncremental,
 }
 
 func TestParseBackendRoundTrip(t *testing.T) {
-	for _, b := range append([]Backend{BackendAuto, BackendRace}, allConcreteBackends...) {
+	for _, b := range Backends() {
 		got, err := ParseBackend(b.String())
 		if err != nil {
 			t.Fatalf("ParseBackend(%q): %v", b.String(), err)
@@ -31,8 +30,11 @@ func TestParseBackendRoundTrip(t *testing.T) {
 	if got, err := ParseBackend(""); err != nil || got != BackendAuto {
 		t.Fatalf("ParseBackend(\"\") = %v, %v; want auto", got, err)
 	}
-	if _, err := ParseBackend("z3"); !errors.Is(err, ErrInvalidProblem) {
-		t.Fatalf("ParseBackend(\"z3\") err = %v, want ErrInvalidProblem", err)
+	// Removed backends fail at the boundary like any unknown name.
+	for _, name := range []string{"z3", "greedy", "tabu"} {
+		if _, err := ParseBackend(name); !errors.Is(err, ErrInvalidProblem) {
+			t.Fatalf("ParseBackend(%q) err = %v, want ErrInvalidProblem", name, err)
+		}
 	}
 }
 
@@ -61,7 +63,7 @@ func TestAllBackendsVerifyFig4(t *testing.T) {
 // strict formulation cannot express the epoch wrap the late possibilities
 // need, so they correctly report the strict problem unsatisfiable.
 func TestHeuristicBackendsVerifyFig6(t *testing.T) {
-	for _, b := range []Backend{BackendPlacer, BackendGreedy, BackendTabu, BackendAnneal} {
+	for _, b := range []Backend{BackendPlacer, BackendAnneal} {
 		t.Run(b.String(), func(t *testing.T) {
 			n := fig2Network(t)
 			p := fig6Problem(t, n)
@@ -80,8 +82,7 @@ func TestHeuristicBackendsVerifyFig6(t *testing.T) {
 
 // randomProblem derives a small random scheduling problem from the seed: a
 // two-switch topology with four devices and a handful of TCT streams (plus
-// sometimes an ECT), contended enough that heuristics must actually move
-// streams around.
+// sometimes an ECT). The placer closes most of these.
 func randomProblem(t testing.TB, seed int64) (*model.Network, *Problem) {
 	rng := rand.New(rand.NewSource(seed))
 	n := model.NewNetwork()
@@ -144,6 +145,26 @@ func randomProblem(t testing.TB, seed int64) (*model.Network, *Problem) {
 	return n, p
 }
 
+// contendedProblem is the placer-hard input: ContendedProblem's family
+// (spread off, per-stream reserves), on which the placer fails on most
+// seeds and the race's fallback steps do the work.
+func contendedProblem(t testing.TB, seed int64) (*model.Network, *Problem) {
+	p, err := ContendedProblem(seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p.Network, p
+}
+
+// problemFamilies are the random inputs the backend property tests sweep.
+var problemFamilies = []struct {
+	name string
+	gen  func(testing.TB, int64) (*model.Network, *Problem)
+}{
+	{"random", randomProblem},
+	{"contended", contendedProblem},
+}
+
 func indexOf(devs []model.NodeID, d model.NodeID) int {
 	for i, x := range devs {
 		if x == d {
@@ -158,89 +179,146 @@ func indexOf(devs []model.NodeID, d model.NodeID) int {
 // violations or fails with a clean give-up/infeasibility error — never an
 // invalid schedule, never an unclassified error.
 func TestBackendsVerifyRandomScenarios(t *testing.T) {
-	for seed := int64(1); seed <= 12; seed++ {
-		for _, b := range allConcreteBackends {
-			n, p := randomProblem(t, seed)
-			p.Opts.Backend = b
-			p.Opts.MaxDecisions = 500_000
-			res, err := Schedule(p)
-			if err != nil {
-				if !errors.Is(err, ErrInfeasible) && !errors.Is(err, ErrBudget) {
-					t.Fatalf("seed %d backend %v: unclassified error %v", seed, b, err)
+	for _, fam := range problemFamilies {
+		for seed := int64(1); seed <= 12; seed++ {
+			for _, b := range append(allConcreteBackends, BackendRace) {
+				n, p := fam.gen(t, seed)
+				p.Opts.Backend = b
+				p.Opts.MaxDecisions = 500_000
+				res, err := Schedule(p)
+				if err != nil {
+					if !errors.Is(err, ErrInfeasible) && !errors.Is(err, ErrBudget) {
+						t.Fatalf("%s seed %d backend %v: unclassified error %v", fam.name, seed, b, err)
+					}
+					continue
 				}
-				continue
-			}
-			if vs := Verify(n, res); len(vs) != 0 {
-				t.Fatalf("seed %d backend %v: %d violations, first: %s", seed, b, len(vs), vs[0])
+				if vs := Verify(n, res); len(vs) != 0 {
+					t.Fatalf("%s seed %d backend %v: %d violations, first: %s", fam.name, seed, b, len(vs), vs[0])
+				}
 			}
 		}
 	}
 }
 
 // TestRaceDeterministic: the race winner and its schedule are byte-stable
-// across runs at fixed priority, regardless of finish order.
+// across runs.
 func TestRaceDeterministic(t *testing.T) {
-	run := func(seed int64) (*Result, error) {
-		_, p := randomProblem(t, seed)
-		p.Opts.Backend = BackendRace
-		return Schedule(p)
-	}
-	for seed := int64(1); seed <= 6; seed++ {
-		a, errA := run(seed)
-		b, errB := run(seed)
-		if (errA == nil) != (errB == nil) {
-			t.Fatalf("seed %d: outcome diverged: %v vs %v", seed, errA, errB)
+	for _, fam := range problemFamilies {
+		run := func(seed int64) (*Result, error) {
+			_, p := fam.gen(t, seed)
+			p.Opts.Backend = BackendRace
+			return Schedule(p)
 		}
-		if errA != nil {
-			continue
-		}
-		if a.BackendUsed != b.BackendUsed {
-			t.Fatalf("seed %d: winner diverged: %v vs %v", seed, a.BackendUsed, b.BackendUsed)
-		}
-		if !reflect.DeepEqual(a.Schedule, b.Schedule) {
-			t.Fatalf("seed %d: schedules diverged for winner %v", seed, a.BackendUsed)
+		for seed := int64(1); seed <= 6; seed++ {
+			a, errA := run(seed)
+			b, errB := run(seed)
+			if (errA == nil) != (errB == nil) {
+				t.Fatalf("%s seed %d: outcome diverged: %v vs %v", fam.name, seed, errA, errB)
+			}
+			if errA != nil {
+				continue
+			}
+			if a.BackendUsed != b.BackendUsed {
+				t.Fatalf("%s seed %d: winner diverged: %v vs %v", fam.name, seed, a.BackendUsed, b.BackendUsed)
+			}
+			if !reflect.DeepEqual(a.Schedule, b.Schedule) {
+				t.Fatalf("%s seed %d: schedules diverged for winner %v", fam.name, seed, a.BackendUsed)
+			}
 		}
 	}
 }
 
-// TestRacePriorityOrder: a single-entry race must be won by that entry,
-// and the verified winner is the lowest-priority-index success.
+// TestRaceMatchesPlacer: wherever the placer succeeds on its own, the race
+// returns exactly the placer's plan (the first step of the chain wins).
+func TestRaceMatchesPlacer(t *testing.T) {
+	matched := 0
+	for _, fam := range problemFamilies {
+		for seed := int64(1); seed <= 40; seed++ {
+			_, pp := fam.gen(t, seed)
+			pp.Opts.Backend = BackendPlacer
+			placed, err := Schedule(pp)
+			if err != nil {
+				continue
+			}
+			_, pr := fam.gen(t, seed)
+			pr.Opts.Backend = BackendRace
+			raced, err := Schedule(pr)
+			if err != nil {
+				t.Fatalf("%s seed %d: placer succeeded but race failed: %v", fam.name, seed, err)
+			}
+			if raced.BackendUsed != BackendPlacer {
+				t.Fatalf("%s seed %d: race won by %v, want placer", fam.name, seed, raced.BackendUsed)
+			}
+			if !reflect.DeepEqual(raced.Schedule, placed.Schedule) {
+				t.Fatalf("%s seed %d: race plan differs from the placer's", fam.name, seed)
+			}
+			matched++
+		}
+	}
+	if matched == 0 {
+		t.Fatal("the placer closed no instance; the comparison is vacuous")
+	}
+}
+
+// raceRescueSeed is a contended seed where the placer gives up, the
+// no-wrap smt-incremental formulation reports the instance infeasible, and
+// the annealer closes it verifier-clean: the rescue that keeps anneal in
+// the race.
+const raceRescueSeed = 358
+
+// TestRacePriorityOrder: each step of the chain wins exactly where the
+// steps before it fail — the placer on the paper's Fig. 4 example, the
+// annealer on the placer-hard rescue seed.
 func TestRacePriorityOrder(t *testing.T) {
 	n := fig2Network(t)
 	p := fig4Problem(t, n)
 	p.Opts.Backend = BackendRace
-	p.Opts.Race = []Backend{BackendSMTIncremental}
 	res, err := Schedule(p)
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
-	if res.BackendUsed != BackendSMTIncremental {
-		t.Fatalf("BackendUsed = %v, want smt-incremental", res.BackendUsed)
-	}
 	verifyClean(t, n, res)
+	if res.BackendUsed != BackendPlacer {
+		t.Fatalf("fig4: BackendUsed = %v, want placer", res.BackendUsed)
+	}
 
-	p2 := fig6Problem(t, fig2Network(t))
+	n2, p2 := contendedProblem(t, raceRescueSeed)
 	p2.Opts.Backend = BackendRace
-	p2.Opts.Race = []Backend{BackendGreedy, BackendSMT}
 	res2, err := Schedule(p2)
 	if err != nil {
-		t.Fatalf("Schedule: %v", err)
+		t.Fatalf("contended seed %d: %v", raceRescueSeed, err)
 	}
-	if res2.BackendUsed != BackendGreedy {
-		t.Fatalf("BackendUsed = %v, want greedy (priority 0)", res2.BackendUsed)
+	verifyClean(t, n2, res2)
+	if res2.BackendUsed != BackendAnneal {
+		t.Fatalf("contended seed %d: BackendUsed = %v, want anneal", raceRescueSeed, res2.BackendUsed)
 	}
 }
 
-// TestRaceRejectsNested: BackendAuto and BackendRace are not legal race
-// entries.
-func TestRaceRejectsNested(t *testing.T) {
-	n := fig2Network(t)
-	p := fig4Problem(t, n)
-	p.Opts.Backend = BackendRace
-	p.Opts.Race = []Backend{BackendRace}
-	if _, err := Schedule(p); !errors.Is(err, ErrInvalidProblem) {
-		t.Fatalf("nested race err = %v, want ErrInvalidProblem", err)
+// TestRaceAnnealRescue pins why anneal stays in the race: on the rescue
+// seed the placer fails with a PlaceFailure and smt-incremental alone
+// reports ErrInfeasible, yet the race ships anneal's verifier-clean plan.
+func TestRaceAnnealRescue(t *testing.T) {
+	solve := func(b Backend) (*model.Network, *Result, error) {
+		n, p := contendedProblem(t, raceRescueSeed)
+		p.Opts.Backend = b
+		res, err := Schedule(p)
+		return n, res, err
 	}
+	var pf *PlaceFailure
+	if _, _, err := solve(BackendPlacer); !errors.As(err, &pf) {
+		t.Fatalf("placer err = %v, want a PlaceFailure", err)
+	}
+	if _, _, err := solve(BackendSMTIncremental); !errors.Is(err, ErrInfeasible) {
+		t.Fatalf("smt-incremental err = %v, want ErrInfeasible", err)
+	}
+	n, res, err := solve(BackendRace)
+	if err != nil {
+		t.Fatalf("race: %v", err)
+	}
+	if res.BackendUsed != BackendAnneal {
+		t.Fatalf("race BackendUsed = %v, want anneal", res.BackendUsed)
+	}
+	verifyClean(t, n, res)
 }
 
 // infeasibleProblem overfills one link: two non-sharing streams whose
@@ -258,8 +336,9 @@ func infeasibleProblem(t *testing.T, n *model.Network) *Problem {
 	}
 }
 
-// TestRaceInfeasibleProof: when every backend fails, an exact backend's
-// infeasibility verdict is reported (not a heuristic give-up).
+// TestRaceInfeasibleProof: when every step fails, the race reports
+// smt-incremental's infeasibility verdict (not a heuristic give-up) with
+// the placer's PlaceFailure chained in for rerouting callers.
 func TestRaceInfeasibleProof(t *testing.T) {
 	n := fig2Network(t)
 	p := infeasibleProblem(t, n)
@@ -268,26 +347,9 @@ func TestRaceInfeasibleProof(t *testing.T) {
 	if !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}
-}
-
-// TestRaceNoGoroutineLeak: cancelled losing backends must exit before the
-// race returns; repeated races must not accumulate goroutines.
-func TestRaceNoGoroutineLeak(t *testing.T) {
-	before := runtime.NumGoroutine()
-	for i := 0; i < 8; i++ {
-		n := fig2Network(t)
-		p := fig6Problem(t, n)
-		p.Opts.Backend = BackendRace
-		if _, err := Schedule(p); err != nil {
-			t.Fatalf("Schedule: %v", err)
-		}
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before+2 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if after := runtime.NumGoroutine(); after > before+2 {
-		t.Fatalf("goroutine leak: %d -> %d", before, after)
+	var pf *PlaceFailure
+	if !errors.As(err, &pf) {
+		t.Fatalf("err = %v, want the placer's PlaceFailure chained in", err)
 	}
 }
 
@@ -296,49 +358,25 @@ func TestRaceNoGoroutineLeak(t *testing.T) {
 func TestScheduleContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, b := range []Backend{BackendTabu, BackendAnneal, BackendGreedy, BackendSMTIncremental, BackendRace} {
-		_, p := randomProblem(t, 3)
-		p.Opts.Backend = b
-		_, err := ScheduleContext(ctx, p)
-		if err == nil {
-			// The fast placers may legitimately finish before noticing.
-			continue
+	for _, fam := range problemFamilies {
+		for _, b := range []Backend{BackendAnneal, BackendSMTIncremental, BackendRace} {
+			_, p := fam.gen(t, 3)
+			p.Opts.Backend = b
+			_, err := ScheduleContext(ctx, p)
+			if err == nil {
+				// The placer (the race's first step) may legitimately
+				// finish before anything polls the context.
+				continue
+			}
+			if !errors.Is(err, ErrBudget) && !errors.Is(err, ErrInfeasible) {
+				t.Fatalf("%s backend %v: cancelled err = %v, want ErrBudget", fam.name, b, err)
+			}
 		}
-		if !errors.Is(err, ErrBudget) && !errors.Is(err, ErrInfeasible) {
-			t.Fatalf("backend %v: cancelled err = %v, want ErrBudget", b, err)
-		}
-	}
-}
-
-// TestGreedyPlacesLate: the ALAP placer parks an uncontended stream at its
-// deadline, not at time zero (the property that distinguishes it from the
-// first-fit placer).
-func TestGreedyPlacesLate(t *testing.T) {
-	n := fig2Network(t)
-	p := fig4Problem(t, n)
-	p.Opts.Backend = BackendGreedy
-	res, err := Schedule(p)
-	if err != nil {
-		t.Fatalf("Schedule: %v", err)
-	}
-	verifyClean(t, n, res)
-	// s1 is placed first, so its first link is uncontended: ALAP must start
-	// its first frame strictly after 0 (where the first-fit placer puts it),
-	// holding the frame back until its downstream deadline chain requires it.
-	first := p.TCT[0].Path[0]
-	var s1Off int64 = -1
-	for _, sl := range res.Schedule.SlotsOn(first) {
-		if sl.Stream == "s1" && sl.Index == 0 {
-			s1Off = sl.Offset
-		}
-	}
-	if s1Off <= 0 {
-		t.Fatalf("greedy placed s1 frame 0 at offset %d; want a late (ALAP) slot", s1Off)
 	}
 }
 
 func BenchmarkBackends(b *testing.B) {
-	for _, backend := range []Backend{BackendPlacer, BackendGreedy, BackendTabu, BackendAnneal, BackendRace} {
+	for _, backend := range []Backend{BackendPlacer, BackendAnneal, BackendRace} {
 		b.Run(backend.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				_, p := randomProblem(b, 5)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -15,17 +16,23 @@ import (
 // fig11 grid, so a timeout here genuinely means "did not finish".
 const BackendsTimeout = 2 * time.Second
 
-// racedBackends returns the standalone sweep list: the backends the race
-// runs, in its priority order.
-func racedBackends() []core.Backend { return core.DefaultRaceBackends() }
+// The rescue section's fixed configuration: contended seeds 1..rescueSeeds
+// with spread placement off and per-stream (not shared) reserves, each
+// standalone solve bounded by rescueTimeout.
+const (
+	rescueSeeds   = 1500
+	rescueTimeout = 300 * time.Millisecond
+)
 
 // BackendsResult is the cross-backend benchmark over the Fig. 11 load grid:
-// every raced backend solved standalone (wall time, feasibility, verifier
-// verdict) plus one race per load.
+// every race member solved standalone (wall time, feasibility, verifier
+// verdict) plus one race per load, and the rescue count over the contended
+// family.
 type BackendsResult struct {
 	Timeout time.Duration
 	Points  []BenchBackendPoint
 	Races   []BenchBackendRace
+	Rescue  BenchBackendRescue
 }
 
 // solveBackendPoint runs one standalone backend solve against a scenario's
@@ -73,7 +80,7 @@ func Backends(opts RunOptions) (*BackendsResult, error) {
 		if pt, _ := solveBackendPoint(scen, core.BackendPlacer, BackendsTimeout, warm); !pt.Feasible {
 			return nil, fmt.Errorf("backends load %v: warm-up placer solve failed: %s", load, pt.Err)
 		}
-		for _, b := range racedBackends() {
+		for _, b := range core.RaceOrder() {
 			pt, _ := solveBackendPoint(scen, b, BackendsTimeout, opts)
 			out.Points = append(out.Points, pt)
 		}
@@ -88,7 +95,86 @@ func Backends(opts RunOptions) (*BackendsResult, error) {
 			Verified: rp.Verified,
 		})
 	}
+	rs, err := rescue(opts)
+	if err != nil {
+		return nil, err
+	}
+	out.Rescue = *rs
 	return out, nil
+}
+
+// rescue counts, over the contended family (core.ContendedProblem), how
+// often each fallback step of the race closes an instance the placer gave
+// up on: a rescue is a verifier-clean standalone plan on a seed where the
+// placer returned a PlaceFailure, and a unique rescue is one no other race
+// member matched. A member without unique rescues adds nothing the rest of
+// the race does not already deliver. Seeds fan out over opts.Parallel
+// workers; the counts are the measurement, not the walls.
+func rescue(opts RunOptions) (*BenchBackendRescue, error) {
+	members := core.RaceOrder()[1:]
+	type outcome struct {
+		placerFailed bool
+		closed       []bool // per member
+	}
+	outs := make([]outcome, rescueSeeds)
+	solve := func(seed int64, b core.Backend) (bool, error) {
+		p, err := core.ContendedProblem(seed)
+		if err != nil {
+			return false, err
+		}
+		p.Opts.Backend = b
+		p.Opts.Timeout = rescueTimeout
+		res, err := core.Schedule(p)
+		return err == nil && len(core.Verify(p.Network, res)) == 0, err
+	}
+	err := runJobs(RunOptions{Parallel: opts.Parallel}, rescueSeeds, func(i int, _ RunOptions) error {
+		seed := int64(i + 1)
+		ok, err := solve(seed, core.BackendPlacer)
+		var pf *core.PlaceFailure
+		if ok || !errors.As(err, &pf) {
+			return nil
+		}
+		outs[i] = outcome{placerFailed: true, closed: make([]bool, len(members))}
+		for m, b := range members {
+			outs[i].closed[m], _ = solve(seed, b)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("rescue: %w", err)
+	}
+	r := &BenchBackendRescue{
+		Family:    "contended",
+		Seeds:     rescueSeeds,
+		TimeoutMs: rescueTimeout.Milliseconds(),
+		Members:   make([]BenchRescueMember, len(members)),
+	}
+	for m, b := range members {
+		r.Members[m].Backend = b.String()
+	}
+	for i, o := range outs {
+		if !o.placerFailed {
+			continue
+		}
+		r.PlacerFailures++
+		closers := 0
+		for _, c := range o.closed {
+			if c {
+				closers++
+			}
+		}
+		for m, c := range o.closed {
+			if !c {
+				continue
+			}
+			r.Members[m].Rescues++
+			if closers == 1 {
+				r.Members[m].Unique++
+				r.Members[m].UniqueSeeds = append(r.Members[m].UniqueSeeds, int64(i+1))
+			}
+		}
+	}
+	return r, nil
 }
 
 // Bench converts the result into the artifact section.
@@ -97,6 +183,7 @@ func (r *BackendsResult) Bench() *BenchBackends {
 		TimeoutMs: r.Timeout.Milliseconds(),
 		Points:    r.Points,
 		Races:     r.Races,
+		Rescue:    &r.Rescue,
 	}
 }
 
@@ -126,54 +213,15 @@ func (r *BackendsResult) WriteTable(w io.Writer) {
 			fmt.Fprintf(w, "  %-16s %-12s winner=%s verified=%v\n", "race", fmtWallUs(rc.WallUs), rc.Winner, rc.Verified)
 		}
 	}
+	rs := r.Rescue
+	fmt.Fprintf(w, "Rescues over the %s family (seeds 1-%d, spread off, per-stream reserves, timeout %v): placer failed on %d\n",
+		rs.Family, rs.Seeds, time.Duration(rs.TimeoutMs)*time.Millisecond, rs.PlacerFailures)
+	for _, m := range rs.Members {
+		fmt.Fprintf(w, "  %-16s rescued %4d, unique %3d %v\n", m.Backend, m.Rescues, m.Unique, m.UniqueSeeds)
+	}
 }
 
 // fmtWallUs renders a microsecond wall time compactly.
 func fmtWallUs(us int64) string {
 	return (time.Duration(us) * time.Microsecond).Round(time.Microsecond).String()
-}
-
-// BackendComparison aggregates one backend over a scenario grid: how many
-// scenarios it closed with a verifier-clean plan, and its total solve wall.
-// This is the per-backend comparison column the fig11/fig14 tables gain
-// under RunOptions.BackendCompare.
-type BackendComparison struct {
-	Backend string
-	// Solved counts scenarios closed with a feasible, verifier-clean plan.
-	Solved int
-	// Cells is the scenario count (Solved/Cells is the schedulable ratio).
-	Cells int
-	// WallUs is the total solve wall across the grid, microseconds.
-	WallUs int64
-}
-
-// CompareBackends solves every scenario once per raced backend,
-// sequentially (walls are measurements).
-func CompareBackends(scens []*Scenario, opts RunOptions) []BackendComparison {
-	rows := make([]BackendComparison, 0, len(racedBackends()))
-	for _, b := range racedBackends() {
-		row := BackendComparison{Backend: b.String(), Cells: len(scens)}
-		for _, scen := range scens {
-			pt, _ := solveBackendPoint(scen, b, BackendsTimeout, opts)
-			if pt.Feasible && pt.Verified {
-				row.Solved++
-			}
-			row.WallUs += pt.WallUs
-		}
-		rows = append(rows, row)
-	}
-	return rows
-}
-
-// WriteBackendComparison renders a comparison section. Callers keep it out
-// of the byte-identity-gated main tables: wall times vary run to run.
-func WriteBackendComparison(w io.Writer, title string, rows []BackendComparison) {
-	if len(rows) == 0 {
-		return
-	}
-	fmt.Fprintln(w, title)
-	fmt.Fprintf(w, "  %-16s %-14s %s\n", "backend", "schedulable", "solve wall")
-	for _, row := range rows {
-		fmt.Fprintf(w, "  %-16s %d/%-12d %s\n", row.Backend, row.Solved, row.Cells, fmtWallUs(row.WallUs))
-	}
 }

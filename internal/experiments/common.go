@@ -50,13 +50,6 @@ type RunOptions struct {
 	// solved independently and merged (passes through to
 	// core.Options.Decompose via sched.Problem).
 	Decompose bool
-	// BackendCompare additionally runs every scheduling backend standalone
-	// on the experiment's scenario grid and attaches a per-backend
-	// comparison (schedulable ratio and solve wall) to results that
-	// support it (Fig. 11, Fig. 14). Off by default: the comparison
-	// section carries wall-clock times and is therefore not byte-stable
-	// across runs, unlike the main tables.
-	BackendCompare bool
 }
 
 func (o RunOptions) withDefaults() RunOptions {

@@ -17,13 +17,10 @@ import (
 // is cell-local, so the stream conflict graph falls apart into one
 // connected component per cell. Each grid point solves the identical
 // instance twice — monolithically and with Options.Decompose — through the
-// same two-backend race (placer + greedy), and records both walls, the
-// verifier's verdict on the merged plan, and whether the two plans are
-// identical. The race portfolio is fixed to the two heuristics on purpose:
-// the greedy solver's pairwise conflict seeding is the O(n²) term the
-// decomposition divides by the component count, and the placer — priority
-// zero in the race, deterministic, and purely link-local — wins every
-// feasible race on both sides, which is what makes the plan-identity gate
+// default race, and records both walls, the verifier's verdict on the
+// merged plan, and whether the two plans are identical. The placer — the
+// race's first step, deterministic, and purely link-local — wins every
+// race on both sides, which is what makes the plan-identity gate
 // meaningful at every grid point.
 const (
 	// corpusLeaves is the device count per cell.
@@ -177,11 +174,7 @@ func corpusProblem(family string, cells int, seed int64) (*core.Problem, error) 
 		p.TCT = append(p.TCT, tct...)
 		p.ECT = append(p.ECT, ect)
 	}
-	p.Opts = core.Options{
-		NProb:   corpusNProb,
-		Backend: core.BackendRace,
-		Race:    []core.Backend{core.BackendPlacer, core.BackendGreedy},
-	}
+	p.Opts = core.Options{NProb: corpusNProb, Backend: core.BackendRace}
 	return p, nil
 }
 
@@ -277,11 +270,7 @@ func singleComponentCheck() (BenchScaleSingle, error) {
 				Share:       true,
 			})
 		}
-		p.Opts = core.Options{
-			NProb:   corpusNProb,
-			Backend: core.BackendRace,
-			Race:    []core.Backend{core.BackendPlacer, core.BackendGreedy},
-		}
+		p.Opts = core.Options{NProb: corpusNProb, Backend: core.BackendRace}
 		return p, nil
 	}
 	probe, err := build()
@@ -359,7 +348,7 @@ func ScaleSweep(opts RunOptions) (*BenchScale, error) {
 // WriteTable renders the sweep report.
 func (s *BenchScale) WriteTable(w io.Writer) {
 	fmt.Fprintln(w, "Extension — decomposition corpus: conflict-graph components vs monolithic solve")
-	fmt.Fprintf(w, "  %d streams per cell, placer+greedy race, %d CPU(s)\n", s.StreamsPerCell, s.Cpus)
+	fmt.Fprintf(w, "  %d streams per cell, default race, %d CPU(s)\n", s.StreamsPerCell, s.Cpus)
 	fmt.Fprintf(w, "  %-6s %6s %8s %6s %12s %12s %8s %9s %10s\n",
 		"family", "cells", "streams", "comps", "mono", "decomposed", "speedup", "verified", "identical")
 	for _, pt := range s.Points {

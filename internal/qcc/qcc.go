@@ -122,10 +122,10 @@ func (r *StreamRequirement) validate(i int) error {
 type SchedulerOptions struct {
 	// NProb is the possibilities-per-ECT count.
 	NProb int `json:"n_prob,omitempty"`
-	// Backend selects the scheduling strategy: "auto", "placer", "greedy",
-	// "tabu", "anneal", "smt", "smt-incremental", or "race" (all enabled
-	// backends racing, highest-priority verified plan wins). Empty means
-	// auto; the scheduling daemon defaults submitted jobs to "race".
+	// Backend selects the scheduling strategy, one of core.BackendNames()
+	// ("race" tries the placer, anneal and smt-incremental in turn; the
+	// first verified plan wins). Empty means auto; the scheduling daemon
+	// defaults submitted jobs to "race".
 	Backend string `json:"backend,omitempty"`
 	// Spread staggers TCT placement over the period.
 	Spread bool `json:"spread,omitempty"`

@@ -172,8 +172,6 @@ func TestBackendNames(t *testing.T) {
 		"":                "auto",
 		"auto":            "auto",
 		"placer":          "placer",
-		"greedy":          "greedy",
-		"tabu":            "tabu",
 		"anneal":          "anneal",
 		"race":            "race",
 		"smt":             "smt",
@@ -188,10 +186,12 @@ func TestBackendNames(t *testing.T) {
 			t.Errorf("backend %q -> %q, want %q", name, got, want)
 		}
 	}
-	// Unknown backends are rejected at configuration time.
-	cfg := &Config{Options: SchedulerOptions{Backend: "quantum"}}
-	if _, err := cfg.coreOptions(); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("unknown backend err = %v, want ErrBadConfig", err)
+	// Unknown and removed backends are rejected at configuration time.
+	for _, name := range []string{"quantum", "greedy", "tabu"} {
+		cfg := &Config{Options: SchedulerOptions{Backend: name}}
+		if _, err := cfg.coreOptions(); !errors.Is(err, ErrBadConfig) {
+			t.Fatalf("backend %q err = %v, want ErrBadConfig", name, err)
+		}
 	}
 }
 

@@ -201,3 +201,37 @@ func TestMethodsEndToEndOrdering(t *testing.T) {
 		t.Fatalf("E-TSN jitter %v not below PERIOD jitter %v", et.StdDev, pe.StdDev)
 	}
 }
+
+// TestBackendsSolve plans a tiny problem through BuildETSN with every
+// accepted backend passed through Problem.Backend: each must yield a
+// verified plan with GCLs, solved by that backend (the auto and race
+// compositions by the placer, their first step).
+func TestBackendsSolve(t *testing.T) {
+	for _, b := range core.Backends() {
+		t.Run(b.String(), func(t *testing.T) {
+			n := testbedNetwork(t)
+			path, err := n.ShortestPath("D1", "D3")
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := Problem{Network: n, Backend: b, TCT: []*model.Stream{{
+				ID: "s1", Path: path, Period: 4 * time.Millisecond, E2E: 4 * time.Millisecond,
+				LengthBytes: model.MTUBytes, Type: model.StreamDet,
+			}}}
+			plan, err := BuildETSN(p.Core())
+			if err != nil {
+				t.Fatalf("BuildETSN: %v", err)
+			}
+			if len(plan.GCLs) == 0 {
+				t.Fatal("plan has no GCLs")
+			}
+			want := b
+			if b == core.BackendAuto || b == core.BackendRace {
+				want = core.BackendPlacer
+			}
+			if got := plan.Result.BackendUsed; got != want {
+				t.Fatalf("BackendUsed = %v, want %v", got, want)
+			}
+		})
+	}
+}

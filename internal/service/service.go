@@ -553,8 +553,8 @@ func (s *Server) runJob(job *Job) {
 }
 
 // defaultJobBackend is the daemon's scheduling-backend policy: submitted
-// jobs race every backend (first verified plan in priority order wins)
-// unless the configuration pins one explicitly.
+// jobs run the race (placer, anneal, smt-incremental in turn; the first
+// verified plan wins) unless the configuration pins a backend explicitly.
 const defaultJobBackend = "race"
 
 // applyBackendPolicy fills the daemon's backend default into a parsed

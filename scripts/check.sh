@@ -1,7 +1,8 @@
 #!/bin/sh
 # check.sh — the tier-1 gate. Everything a change must pass before merge:
-# vet, build, the full test suite under the race detector, a one-iteration
-# benchmark smoke, a bench-artifact round trip (emit BENCH_smoke.json with
+# vet, build, the full test suite at GOMAXPROCS=1 and under the race
+# detector at nproc, a one-iteration benchmark smoke, a bench-artifact
+# round trip (emit BENCH_smoke.json with
 # etsn-bench, fail if it does not validate), an attribution round trip
 # (etsn-sim -attrib -trace piped through etsn-trace must reproduce the
 # committed golden report), the end-to-end daemon gate (etsn-cncd under
@@ -28,8 +29,15 @@ go vet ./...
 echo "==> go build ./..."
 go build ./...
 
-echo "==> go test -race ./..."
-go test -race ./...
+# The suite must pass at any core count: GOMAXPROCS=1 keeps every
+# experiment's cells sequential, nproc fans them out (and exercises the
+# per-cell trace rows and concurrent decomposition paths).
+echo "==> go test ./... (GOMAXPROCS=1)"
+GOMAXPROCS=1 go test -count=1 ./...
+
+NPROC="$(nproc)"
+echo "==> go test -race ./... (GOMAXPROCS=${NPROC})"
+GOMAXPROCS="$NPROC" go test -race ./...
 
 echo "==> go test -race ./internal/smt/... (solver core, explicit)"
 go test -race -count=1 ./internal/smt/...
@@ -98,9 +106,11 @@ mkdir -p bench
 # wall at the largest >=2k-stream point and on plan identity throughout).
 "$BENCHDIR/etsn-bench" -experiment scale -duration 1s \
     -bench-dir bench -history bench/history.jsonl >/dev/null
-# The backends run races every scheduler backend over the fig11 load grid
-# and emits BENCH_backends.json, gated on verifier-clean plans and on the
-# race tracking the fastest feasible backend.
+# The backends run solves every race member standalone plus the race over
+# the fig11 load grid, counts each member's rescues of placer failures over
+# the contended family, and emits BENCH_backends.json, gated on
+# verifier-clean plans, on the race tracking its winner's standalone wall,
+# and on every fallback member having a unique rescue.
 "$BENCHDIR/etsn-bench" -experiment backends \
     -bench-dir bench -history bench/history.jsonl >/dev/null
 "$BENCHDIR/etsn-bench" -check-bench bench/BENCH_headline.json
