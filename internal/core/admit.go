@@ -57,35 +57,33 @@ func Admit(orig *Problem, prev *Result, newTCT []*model.Stream, newECT []*model.
 	}
 
 	// Seed the placer with the deployed slots, frozen in place.
-	p := &placer{
-		inst:   inst,
-		placed: make(map[model.LinkID][]placedSlot),
-		vphi:   make(map[frameKey]int64),
-	}
+	p := newPlacer(inst)
 	frozen := make(map[model.StreamID]bool, len(prev.Schedule.Streams))
-	streamsByID := make(map[model.StreamID]*model.Stream, len(inst.streams))
-	for _, s := range inst.streams {
-		streamsByID[s.ID] = s
-	}
 	for id := range prev.Schedule.Streams {
 		frozen[id] = true
-		if _, ok := streamsByID[id]; !ok {
+		if _, ok := p.streamIdx[id]; !ok {
 			return nil, fmt.Errorf("%w: deployed stream %q absent from the original problem",
 				ErrInvalidProblem, id)
 		}
 	}
 	for _, lid := range prev.Schedule.Links() {
+		l := p.link(lid)
 		for _, fs := range prev.Schedule.SlotsOn(lid) {
-			s, ok := streamsByID[fs.Stream]
+			i, ok := p.streamIdx[fs.Stream]
 			if !ok {
 				return nil, fmt.Errorf("%w: deployed slot of unknown stream %q", ErrInvalidProblem, fs.Stream)
 			}
-			p.vphi[frameKey{stream: fs.Stream, link: lid, index: fs.Index}] = fs.VirtualOffset()
-			p.placed[lid] = append(p.placed[lid], placedSlot{
+			ps := &p.streams[i]
+			// A frame the instance does not have is never read back;
+			// the count check below rejects mismatched frame sets.
+			if at, ok := ps.frame(lid, fs.Index); ok {
+				ps.vphi[at] = fs.VirtualOffset()
+			}
+			p.placed[l] = append(p.placed[l], placedSlot{
 				offset:  fs.Offset,
 				length:  fs.Length,
 				period:  fs.Period,
-				stream:  s,
+				stream:  ps.s,
 				reserve: fs.Reserve,
 			})
 		}
@@ -93,7 +91,7 @@ func Admit(orig *Problem, prev *Result, newTCT []*model.Stream, newECT []*model.
 	// Deployed frame counts must match the combined instance (they do, as
 	// long as the additions did not change reservation structure).
 	for id := range frozen {
-		s := streamsByID[id]
+		s := p.streams[p.streamIdx[id]].s
 		for _, lid := range s.Path {
 			want := inst.frames[id][lid]
 			got := len(prev.Schedule.StreamSlots(id, lid))
@@ -115,7 +113,7 @@ func Admit(orig *Problem, prev *Result, newTCT []*model.Stream, newECT []*model.
 		return nil, err
 	}
 
-	res := extractSchedule(inst, func(k frameKey) int64 { return p.vphi[k] })
+	res := extractSchedule(inst, p.offset)
 	res.BackendUsed = BackendPlacer
 	return res, nil
 }

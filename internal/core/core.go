@@ -534,7 +534,16 @@ func buildInstance(p *Problem, opts Options) (*instance, error) {
 
 // commonTimeUnit checks that all links agree on one scheduling unit.
 func commonTimeUnit(n *model.Network) (time.Duration, error) {
-	var unit time.Duration
+	unit, ok := n.UniformTimeUnit()
+	if ok {
+		if unit == 0 {
+			unit = model.DefaultTimeUnit
+		}
+		return unit, nil
+	}
+	// Some links disagree. The scan in link-ID order settles it: links
+	// without a unit ahead of the first unit are tolerated, and the error
+	// names the first disagreeing link in that order.
 	for _, l := range n.Links() {
 		if unit == 0 {
 			unit = l.TimeUnit

@@ -2,6 +2,8 @@ package core
 
 import (
 	"errors"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -115,6 +117,51 @@ func TestScheduleFig4Placer(t *testing.T) {
 		if wc > res.Schedule.Streams[id].E2E {
 			t.Fatalf("stream %s worst case %v exceeds e2e %v", id, wc, res.Schedule.Streams[id].E2E)
 		}
+	}
+}
+
+// TestPlacerRollback places a two-hop stream after another and rolls it
+// back: every link, not only the first hop's, must return to its
+// reservation count at the mark, and the retry must place the stream
+// exactly where the first attempt did.
+func TestPlacerRollback(t *testing.T) {
+	n := fig2Network(t)
+	p := fig4Problem(t, n)
+	inst, err := buildInstance(p, p.Opts.withDefaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl := newPlacer(inst)
+	order := placementOrder(inst.streams)
+	if err := pl.placeAll(order[:1], true); err != nil {
+		t.Fatal(err)
+	}
+	counts := func() []int {
+		var out []int
+		for _, slots := range pl.placed {
+			out = append(out, len(slots))
+		}
+		return out
+	}
+	ps := &pl.streams[pl.streamIdx[order[1].ID]]
+	if len(ps.hops) != 2 {
+		t.Fatalf("stream %s has %d hops, want 2", ps.s.ID, len(ps.hops))
+	}
+	before := counts()
+	pl.mark(ps)
+	if err := pl.placeStream(ps, true); err != nil {
+		t.Fatal(err)
+	}
+	first := append([]int64(nil), ps.vphi...)
+	pl.rollback(ps)
+	if got := counts(); !reflect.DeepEqual(got, before) {
+		t.Fatalf("reservation counts after rollback = %v, want %v", got, before)
+	}
+	if err := pl.placeStream(ps, true); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(ps.vphi, first) {
+		t.Fatalf("retry placed %v, first attempt %v", ps.vphi, first)
 	}
 }
 
@@ -394,29 +441,42 @@ func TestScheduleInvalidProblems(t *testing.T) {
 	}
 }
 
+// TestScheduleMixedTimeUnitsRejected checks that links disagreeing on the
+// time unit make the problem invalid, and that the error names the first
+// disagreement in link-ID order whatever order the links are stored in.
 func TestScheduleMixedTimeUnitsRejected(t *testing.T) {
 	n := model.NewNetwork()
-	if err := n.AddDevice("D1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.AddDevice("D2"); err != nil {
-		t.Fatal(err)
-	}
 	if err := n.AddSwitch("SW1"); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.AddLink("D1", "SW1", model.LinkConfig{Bandwidth: 100_000_000, TimeUnit: time.Microsecond}); err != nil {
-		t.Fatal(err)
+	units := map[model.NodeID]time.Duration{
+		"D1": time.Microsecond, "D2": 2 * time.Microsecond,
+		"D3": 4 * time.Microsecond, "D4": time.Microsecond,
 	}
-	if err := n.AddLink("D2", "SW1", model.LinkConfig{Bandwidth: 100_000_000, TimeUnit: 2 * time.Microsecond}); err != nil {
-		t.Fatal(err)
+	for _, d := range []model.NodeID{"D1", "D2", "D3", "D4"} {
+		if err := n.AddDevice(d); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.AddLink(d, "SW1", model.LinkConfig{Bandwidth: 100_000_000, TimeUnit: units[d]}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	p := &Problem{Network: n, TCT: []*model.Stream{
 		{ID: "s1", Path: mustPath(t, n, "D1", "D2"), E2E: time.Millisecond,
 			LengthBytes: 100, Period: time.Millisecond, Type: model.StreamDet},
 	}}
-	if _, err := Schedule(p); !errors.Is(err, ErrInvalidProblem) {
-		t.Fatalf("err = %v, want ErrInvalidProblem", err)
+	// Links sort as D1->SW1, D2->SW1, ...: the first disagreement is
+	// D2->SW1's 2µs against D1->SW1's 1µs. Repeat so a scan in map order
+	// would name another link.
+	const want = "(1µs vs 2µs on D2->SW1)"
+	for i := 0; i < 20; i++ {
+		_, err := Schedule(p)
+		if !errors.Is(err, ErrInvalidProblem) {
+			t.Fatalf("err = %v, want ErrInvalidProblem", err)
+		}
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("err = %v, want it to name %s", err, want)
+		}
 	}
 }
 

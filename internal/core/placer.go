@@ -27,21 +27,135 @@ type placedSlot struct {
 // period, which the paper's strict formulation cannot express; the slot's
 // Epoch field records the shift. The placer is sound (the verifier re-checks
 // its output) but incomplete: on failure the caller can fall back to SMT.
+//
+// Its state is indexed densely: links by first appearance, streams by
+// position in inst.streams, and each stream's frames hop by hop, so the
+// per-frame work does no map lookups and placing a stream touches only its
+// own path links.
 type placer struct {
-	inst   *instance
-	placed map[model.LinkID][]placedSlot
-	vphi   map[frameKey]int64 // virtual start times
+	inst *instance
+	// linkIdx numbers every link that carries a slot.
+	linkIdx map[model.LinkID]int
+	// placed[l] holds the committed reservations of link l.
+	placed [][]placedSlot
+	// streamIdx maps a stream ID to its index in inst.streams and streams.
+	streamIdx map[model.StreamID]int
+	streams   []placerStream
+	// marks is the rollback snapshot of the stream being placed: the slot
+	// count of each of its path links before placement started.
+	marks []int
+}
+
+// placerStream is one stream's dense placement state.
+type placerStream struct {
+	s    *model.Stream
+	hops []placerHop
+	// vphi holds the virtual start time of every frame, hop by hop.
+	vphi []int64
+}
+
+// placerHop is the instance data of one path hop, copied out of the
+// instance's per-stream maps.
+type placerHop struct {
+	link  int // dense link index
+	first int // position of the hop's frame 0 in vphi
+	count int // frames on the hop, own plus reserve
+	// tx and lastTx are the slot lengths of a full-MTU frame and of the
+	// message's final fragment (instance.frameLen); prop is the link's
+	// propagation delay.
+	tx, lastTx, prop int64
+}
+
+// frameLen returns the slot length of frame j on hop h (instance.frameLen).
+func (ps *placerStream) frameLen(h, j int) int64 {
+	if j == ps.s.Frames()-1 {
+		return ps.hops[h].lastTx
+	}
+	return ps.hops[h].tx
+}
+
+// newPlacer builds an empty placer over every stream of the instance.
+func newPlacer(inst *instance) *placer {
+	p := &placer{
+		inst:      inst,
+		linkIdx:   make(map[model.LinkID]int),
+		streamIdx: make(map[model.StreamID]int, len(inst.streams)),
+		streams:   make([]placerStream, len(inst.streams)),
+	}
+	nHops, nFrames := 0, 0
+	for _, s := range inst.streams {
+		nHops += len(s.Path)
+		for _, lid := range s.Path {
+			nFrames += inst.frames[s.ID][lid]
+		}
+	}
+	// Two backing arrays serve every stream's slices.
+	hops := make([]placerHop, nHops)
+	vphi := make([]int64, nFrames)
+	for i, s := range inst.streams {
+		p.streamIdx[s.ID] = i
+		ps := placerStream{s: s}
+		ps.hops, hops = hops[:len(s.Path):len(s.Path)], hops[len(s.Path):]
+		n := 0
+		for h, lid := range s.Path {
+			ps.hops[h] = placerHop{
+				link:   p.link(lid),
+				first:  n,
+				count:  inst.frames[s.ID][lid],
+				tx:     inst.txUnits[s.ID][lid],
+				lastTx: inst.lastTxUnits[s.ID][lid],
+				prop:   inst.propUnits[lid],
+			}
+			n += ps.hops[h].count
+		}
+		ps.vphi, vphi = vphi[:n:n], vphi[n:]
+		p.streams[i] = ps
+	}
+	return p
+}
+
+// link returns the dense index of a link, numbering it on first use.
+func (p *placer) link(lid model.LinkID) int {
+	l, ok := p.linkIdx[lid]
+	if !ok {
+		l = len(p.placed)
+		p.linkIdx[lid] = l
+		p.placed = append(p.placed, nil)
+	}
+	return l
+}
+
+// frame locates frame index j of a stream on a link: its position in the
+// stream's vphi, or false when the stream has no such frame there.
+func (ps *placerStream) frame(lid model.LinkID, j int) (int, bool) {
+	for h, l := range ps.s.Path {
+		if l == lid {
+			return ps.hops[h].first + j, j >= 0 && j < ps.hops[h].count
+		}
+	}
+	return 0, false
+}
+
+// offset returns the virtual start of a placed frame, in the shape
+// extractSchedule asks for it.
+func (p *placer) offset(k frameKey) int64 {
+	ps := &p.streams[p.streamIdx[k.stream]]
+	at, _ := ps.frame(k.link, k.index)
+	return ps.vphi[at]
+}
+
+// reset drops every reservation, keeping the slices' storage.
+func (p *placer) reset() {
+	for l := range p.placed {
+		p.placed[l] = p.placed[l][:0]
+	}
 }
 
 // solvePlacer schedules the instance with the first-fit placer.
 func solvePlacer(inst *instance) (*Result, error) {
 	sp := inst.opts.Phases.Begin("place")
 	defer sp.End()
-	p := &placer{
-		inst:   inst,
-		placed: make(map[model.LinkID][]placedSlot),
-		vphi:   make(map[frameKey]int64),
-	}
+	p := newPlacer(inst)
 	order := placementOrder(inst.streams)
 	if err := p.placeAll(order, inst.opts.SpreadFrames); err != nil {
 		if !inst.opts.SpreadFrames {
@@ -49,13 +163,12 @@ func solvePlacer(inst *instance) (*Result, error) {
 		}
 		// Spread placement fragments congested links; restart the whole
 		// placement ASAP before declaring infeasibility.
-		p.placed = make(map[model.LinkID][]placedSlot)
-		p.vphi = make(map[frameKey]int64)
+		p.reset()
 		if err := p.placeAll(order, false); err != nil {
 			return nil, err
 		}
 	}
-	res := extractSchedule(inst, func(k frameKey) int64 { return p.vphi[k] })
+	res := extractSchedule(inst, p.offset)
 	res.BackendUsed = BackendPlacer
 	return res, nil
 }
@@ -94,11 +207,14 @@ func placementOrder(streams []*model.Stream) []*model.Stream {
 // spread to ASAP placement before failing.
 func (p *placer) placeAll(order []*model.Stream, spread bool) error {
 	for _, s := range order {
-		marks := p.mark()
-		err := p.placeStream(s, spread)
+		ps := &p.streams[p.streamIdx[s.ID]]
+		if spread {
+			p.mark(ps)
+		}
+		err := p.placeStream(ps, spread)
 		if err != nil && spread {
-			p.rollback(marks)
-			err = p.placeStream(s, false)
+			p.rollback(ps)
+			err = p.placeStream(ps, false)
 		}
 		if err != nil {
 			return err
@@ -107,29 +223,30 @@ func (p *placer) placeAll(order []*model.Stream, spread bool) error {
 	return nil
 }
 
-// mark snapshots per-link reservation counts for rollback.
-func (p *placer) mark() map[model.LinkID]int {
-	m := make(map[model.LinkID]int, len(p.placed))
-	for lid, slots := range p.placed {
-		m[lid] = len(slots)
-	}
-	return m
-}
-
-// rollback truncates reservations added after the snapshot.
-func (p *placer) rollback(marks map[model.LinkID]int) {
-	for lid, slots := range p.placed {
-		p.placed[lid] = slots[:marks[lid]]
+// mark snapshots the reservation counts of the stream's path links, the
+// only links placeStream appends to.
+func (p *placer) mark(ps *placerStream) {
+	p.marks = p.marks[:0]
+	for _, h := range ps.hops {
+		p.marks = append(p.marks, len(p.placed[h.link]))
 	}
 }
 
-func (p *placer) placeStream(s *model.Stream, spread bool) error {
+// rollback truncates the stream's path links to the last mark.
+func (p *placer) rollback(ps *placerStream) {
+	for i, h := range ps.hops {
+		p.placed[h.link] = p.placed[h.link][:p.marks[i]]
+	}
+}
+
+func (p *placer) placeStream(ps *placerStream, spread bool) error {
 	inst := p.inst
+	s := ps.s
 	t := inst.periodUnits[s.ID]
-	for li, lid := range s.Path {
-		count := inst.frames[s.ID][lid]
-		for j := 0; j < count; j++ {
-			l := inst.frameLen(s, lid, j)
+	for li := range ps.hops {
+		hop := &ps.hops[li]
+		for j := 0; j < hop.count; j++ {
+			l := ps.frameLen(li, j)
 			lb := int64(0)
 			if li == 0 && j == 0 && s.Type == model.StreamProb {
 				lb = inst.otUnits[s.ID]
@@ -138,45 +255,42 @@ func (p *placer) placeStream(s *model.Stream, spread bool) error {
 				// Stagger streams by a deterministic phase and spread a
 				// stream's frames evenly over its period, mimicking the
 				// dispersed slot layouts SMT solvers produce.
-				lb = maxI64(lb, streamPhase(s.ID, t)+int64(j)*(t/int64(count)))
+				lb = maxI64(lb, streamPhase(s.ID, t)+int64(j)*(t/int64(hop.count)))
 			}
 			if j > 0 {
-				prevLen := inst.frameLen(s, lid, j-1)
-				lb = maxI64(lb, p.vphi[frameKey{stream: s.ID, link: lid, index: j - 1}]+prevLen)
+				lb = maxI64(lb, ps.vphi[hop.first+j-1]+ps.frameLen(li, j-1))
 			}
 			if li > 0 {
-				up := s.Path[li-1]
-				cUp := inst.frames[s.ID][up]
-				o := cUp - count
+				up := &ps.hops[li-1]
+				o := up.count - hop.count
 				if o < 0 {
 					o = 0
 				}
 				upIdx := j + o
-				if upIdx >= cUp {
-					upIdx = cUp - 1
+				if upIdx >= up.count {
+					upIdx = up.count - 1
 				}
-				lUp := inst.frameLen(s, up, upIdx)
-				arr := p.vphi[frameKey{stream: s.ID, link: up, index: upIdx}] + lUp + inst.propUnits[up]
+				arr := ps.vphi[up.first+upIdx] + ps.frameLen(li-1, upIdx) + up.prop
 				lb = maxI64(lb, arr)
 			}
 			reserve := inst.isReserveIndex(s, j)
-			v, ok := p.findSlot(lid, s, reserve, lb, l, t)
+			v, ok := p.findSlot(hop.link, s, reserve, lb, l, t)
 			if !ok {
-				return &PlaceFailure{Stream: s.ID, Frame: j, Link: lid,
+				return &PlaceFailure{Stream: s.ID, Frame: j, Link: s.Path[li],
 					Reason: "no free slot"}
 			}
-			p.vphi[frameKey{stream: s.ID, link: lid, index: j}] = v
-			p.placed[lid] = append(p.placed[lid], placedSlot{
+			ps.vphi[hop.first+j] = v
+			p.placed[hop.link] = append(p.placed[hop.link], placedSlot{
 				offset: v % t, length: l, period: t, stream: s, reserve: reserve,
 			})
 		}
 	}
 	// (4) end-to-end check on the virtual timeline, including the last
 	// frame's transmission time.
-	lastLink := s.Path[len(s.Path)-1]
-	lastIdx := inst.frames[s.ID][lastLink] - 1
-	end := p.vphi[frameKey{stream: s.ID, link: lastLink, index: lastIdx}] + inst.frameLen(s, lastLink, lastIdx)
-	start := p.vphi[frameKey{stream: s.ID, link: s.Path[0], index: 0}]
+	lastHop := len(ps.hops) - 1
+	lastLink := s.Path[lastHop]
+	end := ps.vphi[len(ps.vphi)-1] + ps.frameLen(lastHop, ps.hops[lastHop].count-1)
+	start := ps.vphi[0]
 	if s.Type == model.StreamProb {
 		start = inst.otFloorUnits[s.ID]
 	}
@@ -213,9 +327,10 @@ func (e *PlaceFailure) Unwrap() error { return ErrInfeasible }
 
 // findSlot returns the earliest virtual time v >= lb such that the frame's
 // periodic instances (at (v mod period) + n·period) do not overlap any
-// incompatible reservation on the link and the slot does not straddle a
-// period boundary. It gives up after scanning one full period without a fit.
-func (p *placer) findSlot(lid model.LinkID, s *model.Stream, reserve bool, lb, length, period int64) (int64, bool) {
+// incompatible reservation on the link (a dense index) and the slot does not
+// straddle a period boundary. It gives up after scanning one full period
+// without a fit.
+func (p *placer) findSlot(link int, s *model.Stream, reserve bool, lb, length, period int64) (int64, bool) {
 	v := lb
 	for {
 		if v-lb > period {
@@ -227,7 +342,7 @@ func (p *placer) findSlot(lid model.LinkID, s *model.Stream, reserve bool, lb, l
 			continue
 		}
 		next := off
-		for _, ps := range p.placed[lid] {
+		for _, ps := range p.placed[link] {
 			if slotsCanOverlap(s, ps.stream, reserve, ps.reserve, p.inst.opts.SharedReserves) {
 				continue
 			}

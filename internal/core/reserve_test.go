@@ -36,7 +36,7 @@ func TestDrainPeriodHarmonics(t *testing.T) {
 			for _, p := range c.periods {
 				tct = append(tct, shareStream(p))
 			}
-			if got := drainPeriod(tct, c.interevent); got != c.want {
+			if got := drainPeriod(sharingHyperperiod(tct), c.interevent); got != c.want {
 				t.Fatalf("drainPeriod = %v, want %v", got, c.want)
 			}
 		})
@@ -50,7 +50,7 @@ func TestDrainPeriodIgnoresNonSharing(t *testing.T) {
 		{Type: model.StreamProb, Period: 9 * time.Millisecond},
 	}
 	// Only the 4ms sharing stream counts: hyper 4ms, interevent 10ms -> 8ms.
-	if got := drainPeriod(tct, 10*time.Millisecond); got != 8*time.Millisecond {
+	if got := drainPeriod(sharingHyperperiod(tct), 10*time.Millisecond); got != 8*time.Millisecond {
 		t.Fatalf("drainPeriod = %v, want 8ms", got)
 	}
 }
@@ -82,5 +82,28 @@ func TestDrainStreamsPerLink(t *testing.T) {
 	}
 	if d.ID != DrainStreamID("e1", d.Path[0]) {
 		t.Fatalf("drain id = %s", d.ID)
+	}
+
+	// Against an ECT arriving every 2 MTU times, s1's 3-MTU message spans
+	// two events (4 extra slots) and a 1-MTU sharing stream on the same
+	// link one (2 slots): the drain covers the larger reservation,
+	// whichever stream comes first.
+	short := &model.Stream{ID: "s0", Path: mustPath(t, n, "D2", "D3"), E2E: 6 * mtuTx,
+		LengthBytes: model.MTUBytes, Period: cycle, Type: model.StreamDet, Share: true}
+	fast := &model.ECT{ID: "e2", Path: e.Path, E2E: cycle,
+		LengthBytes: 2 * model.MTUBytes, MinInterevent: 2 * mtuTx}
+	p = &Problem{Network: n, TCT: []*model.Stream{short, st}, ECT: []*model.ECT{fast}}
+	link, _ := n.LinkByID(model.LinkID{From: "SW1", To: "D3"})
+	if a, b := ExtraSlots(short, fast, link), ExtraSlots(st, fast, link); a != 2 || b != 4 {
+		t.Fatalf("ExtraSlots = %d (s0), %d (s1), want 2, 4", a, b)
+	}
+	for _, d := range drainStreams(p, p.TCT) {
+		want := 2 // D2->SW1 carries s0 only
+		if d.Path[0] == link.ID() {
+			want = 4
+		}
+		if d.Frames() != want {
+			t.Fatalf("drain on %v has %d frames, want %d", d.Path[0], d.Frames(), want)
+		}
 	}
 }

@@ -245,7 +245,7 @@ func TCTWorstCase(network *model.Network, res *Result, id model.StreamID) (time.
 // wrap-around into the next period after the last possibility. The E-TSN
 // constraints guarantee this stays at or below the ECT deadline.
 func ECTScheduleWorstCase(network *model.Network, res *Result, parent model.StreamID) (time.Duration, error) {
-	sched, _, err := ectWorstCase(network, res, parent)
+	sched, _, err := ectWorstCase(res, schedUnit(network), parent, possibilities(res, parent))
 	return sched, err
 }
 
@@ -257,12 +257,44 @@ func ECTScheduleWorstCase(network *model.Network, res *Result, parent model.Stre
 // may exceed the paper's constraint-(4) guarantee on sparsely reserved
 // links.
 func ECTWorstCaseBound(network *model.Network, res *Result, parent model.StreamID) (time.Duration, error) {
-	_, runtime, err := ectWorstCase(network, res, parent)
+	_, runtime, err := ectWorstCase(res, schedUnit(network), parent, possibilities(res, parent))
 	return runtime, err
 }
 
-func ectWorstCase(network *model.Network, res *Result, parent model.StreamID) (time.Duration, time.Duration, error) {
+// ECTWorstCaseBounds returns ECTWorstCaseBound for every ECT stream whose
+// possibilities the schedule carries, grouping them in one walk over the
+// schedule's streams. A stream whose bound fails is left out.
+func ECTWorstCaseBounds(network *model.Network, res *Result) map[model.StreamID]time.Duration {
+	byParent := make(map[model.StreamID][]*model.Stream)
+	for _, s := range res.Schedule.Streams {
+		if s.Type == model.StreamProb && s.Parent != "" {
+			byParent[s.Parent] = append(byParent[s.Parent], s)
+		}
+	}
 	unit := schedUnit(network)
+	out := make(map[model.StreamID]time.Duration, len(byParent))
+	for parent, ps := range byParent {
+		if _, runtime, err := ectWorstCase(res, unit, parent, ps); err == nil {
+			out[parent] = runtime
+		}
+	}
+	return out
+}
+
+// possibilities returns the probabilistic streams of one ECT parent.
+func possibilities(res *Result, parent model.StreamID) []*model.Stream {
+	var out []*model.Stream
+	for _, s := range res.Schedule.Streams {
+		if s.Type == model.StreamProb && s.Parent == parent {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// ectWorstCase computes the schedule term and the runtime bound of one ECT
+// parent from its possibility streams.
+func ectWorstCase(res *Result, unit time.Duration, parent model.StreamID, streams []*model.Stream) (time.Duration, time.Duration, error) {
 	type poss struct {
 		ot       int64
 		delivery int64
@@ -270,10 +302,7 @@ func ectWorstCase(network *model.Network, res *Result, parent model.StreamID) (t
 	var ps []poss
 	var period int64
 	var path []model.LinkID
-	for _, s := range res.Schedule.Streams {
-		if s.Type != model.StreamProb || s.Parent != parent {
-			continue
-		}
+	for _, s := range streams {
 		path = s.Path
 		lastSlots := res.Schedule.StreamSlots(s.ID, s.Path[len(s.Path)-1])
 		if len(lastSlots) == 0 {

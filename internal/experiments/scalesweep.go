@@ -16,12 +16,17 @@ import (
 // The decomposition corpus: a family of cellular topologies whose traffic
 // is cell-local, so the stream conflict graph falls apart into one
 // connected component per cell. Each grid point solves the identical
-// instance twice — monolithically and with Options.Decompose — through the
-// default race, and records both walls, the verifier's verdict on the
-// merged plan, and whether the two plans are identical. The placer — the
-// race's first step, deterministic, and purely link-local — wins every
-// race on both sides, which is what makes the plan-identity gate
-// meaningful at every grid point.
+// instance twice — monolithically and with Options.Decompose — and
+// records both walls, the verifier's verdict on the merged plan, and
+// whether the two plans are identical. The race grid sweeps both families
+// through the default race: the placer — the race's first step,
+// deterministic, and purely link-local — wins every race on both sides,
+// which is what makes the plan-identity gate meaningful at every grid
+// point. The placer is linear in the stream count, so decomposition only
+// adds overhead there; the race rows are information. The exact grid
+// solves the tree family with smt-incremental, whose cost grows faster
+// than linearly in the streams it holds at once: that is where splitting
+// into components pays, and where the speedup gate applies.
 const (
 	// corpusLeaves is the device count per cell.
 	corpusLeaves = 6
@@ -40,6 +45,11 @@ const (
 // cells x CorpusStreamsPerCell = 2200 TCT streams, above the 2k corpus
 // target.
 var corpusGrid = []int{4, 11, 22, 44}
+
+// corpusExactGrid is the tree family's smt-incremental sweep. The
+// monolithic exact solve of 8 cells (400 TCT streams) already takes
+// seconds.
+var corpusExactGrid = []int{4, 8}
 
 // CorpusFamilies lists the swept topology families: "tree" hangs every
 // cell switch off a core switch; "mesh" closes the cell switches into a
@@ -155,12 +165,12 @@ func corpusCellWorkload(c int, seed int64) ([]*model.Stream, *model.ECT, error) 
 	return tct, ect, nil
 }
 
-// corpusProblem assembles the complete scheduling instance of one grid
+// CorpusProblem assembles the complete scheduling instance of one grid
 // point. Every call builds a fresh problem (fresh network, freshly
 // generated streams) so the monolithic and decomposed solves cannot share
 // mutable state; generation is seed-deterministic, so the two instances
 // are equal.
-func corpusProblem(family string, cells int, seed int64) (*core.Problem, error) {
+func CorpusProblem(family string, cells int, seed int64) (*core.Problem, error) {
 	n, err := corpusNetwork(family, cells)
 	if err != nil {
 		return nil, err
@@ -215,13 +225,14 @@ func PlanFingerprint(res *core.Result) string {
 }
 
 // corpusSolve schedules one freshly built instance of the grid point with
-// the given decomposition setting and returns the result, its fingerprint,
-// and the solve wall time.
-func corpusSolve(family string, cells int, seed int64, decompose bool) (*core.Result, string, time.Duration, error) {
-	p, err := corpusProblem(family, cells, seed)
+// the given backend and decomposition setting and returns the result, its
+// fingerprint, and the solve wall time.
+func corpusSolve(family string, cells int, seed int64, backend core.Backend, decompose bool) (*core.Result, string, time.Duration, error) {
+	p, err := CorpusProblem(family, cells, seed)
 	if err != nil {
 		return nil, "", 0, err
 	}
+	p.Opts.Backend = backend
 	p.Opts.Decompose = decompose
 	start := time.Now()
 	res, err := core.Schedule(p)
@@ -310,32 +321,19 @@ func ScaleSweep(opts RunOptions) (*BenchScale, error) {
 	}
 	for _, family := range CorpusFamilies {
 		for _, cells := range corpusGrid {
-			monoRes, monoFP, monoWall, err := corpusSolve(family, cells, opts.Seed, false)
-			if err != nil {
-				return nil, fmt.Errorf("corpus %s/%d monolithic: %w", family, cells, err)
-			}
-			decompRes, decompFP, decompWall, err := corpusSolve(family, cells, opts.Seed, true)
-			if err != nil {
-				return nil, fmt.Errorf("corpus %s/%d decomposed: %w", family, cells, err)
-			}
-			// Components counted on a fresh instance; the solves above own
-			// their problems.
-			p, err := corpusProblem(family, cells, opts.Seed)
+			pt, err := scalePoint(family, cells, opts.Seed, core.BackendRace)
 			if err != nil {
 				return nil, err
 			}
-			vs := core.Verify(p.Network, decompRes)
-			out.Points = append(out.Points, BenchScalePoint{
-				Family:         family,
-				Cells:          cells,
-				Streams:        len(p.TCT),
-				Components:     core.ConflictComponentCount(p),
-				MonoWallUs:     monoWall.Microseconds(),
-				DecompWallUs:   decompWall.Microseconds(),
-				Verified:       len(vs) == 0,
-				PlansIdentical: monoFP == decompFP && len(monoRes.Expanded) == len(decompRes.Expanded),
-			})
+			out.Points = append(out.Points, pt)
 		}
+	}
+	for _, cells := range corpusExactGrid {
+		pt, err := scalePoint("tree", cells, opts.Seed, core.BackendSMTIncremental)
+		if err != nil {
+			return nil, err
+		}
+		out.Points = append(out.Points, pt)
 	}
 	single, err := singleComponentCheck()
 	if err != nil {
@@ -345,16 +343,47 @@ func ScaleSweep(opts RunOptions) (*BenchScale, error) {
 	return out, nil
 }
 
+// scalePoint solves one grid point monolithically and decomposed with the
+// given backend.
+func scalePoint(family string, cells int, seed int64, backend core.Backend) (BenchScalePoint, error) {
+	monoRes, monoFP, monoWall, err := corpusSolve(family, cells, seed, backend, false)
+	if err != nil {
+		return BenchScalePoint{}, fmt.Errorf("corpus %s/%d %v monolithic: %w", family, cells, backend, err)
+	}
+	decompRes, decompFP, decompWall, err := corpusSolve(family, cells, seed, backend, true)
+	if err != nil {
+		return BenchScalePoint{}, fmt.Errorf("corpus %s/%d %v decomposed: %w", family, cells, backend, err)
+	}
+	// Components counted on a fresh instance; the solves above own their
+	// problems.
+	p, err := CorpusProblem(family, cells, seed)
+	if err != nil {
+		return BenchScalePoint{}, err
+	}
+	vs := core.Verify(p.Network, decompRes)
+	return BenchScalePoint{
+		Family:         family,
+		Backend:        backend.String(),
+		Cells:          cells,
+		Streams:        len(p.TCT),
+		Components:     core.ConflictComponentCount(p),
+		MonoWallUs:     monoWall.Microseconds(),
+		DecompWallUs:   decompWall.Microseconds(),
+		Verified:       len(vs) == 0,
+		PlansIdentical: monoFP == decompFP && len(monoRes.Expanded) == len(decompRes.Expanded),
+	}, nil
+}
+
 // WriteTable renders the sweep report.
 func (s *BenchScale) WriteTable(w io.Writer) {
 	fmt.Fprintln(w, "Extension — decomposition corpus: conflict-graph components vs monolithic solve")
-	fmt.Fprintf(w, "  %d streams per cell, default race, %d CPU(s)\n", s.StreamsPerCell, s.Cpus)
-	fmt.Fprintf(w, "  %-6s %6s %8s %6s %12s %12s %8s %9s %10s\n",
-		"family", "cells", "streams", "comps", "mono", "decomposed", "speedup", "verified", "identical")
+	fmt.Fprintf(w, "  %d streams per cell, %d CPU(s)\n", s.StreamsPerCell, s.Cpus)
+	fmt.Fprintf(w, "  %-6s %-15s %6s %8s %6s %12s %12s %8s %9s %10s\n",
+		"family", "backend", "cells", "streams", "comps", "mono", "decomposed", "speedup", "verified", "identical")
 	for _, pt := range s.Points {
 		speedup := float64(pt.MonoWallUs) / float64(pt.DecompWallUs)
-		fmt.Fprintf(w, "  %-6s %6d %8d %6d %12s %12s %7.2fx %9v %10v\n",
-			pt.Family, pt.Cells, pt.Streams, pt.Components,
+		fmt.Fprintf(w, "  %-6s %-15s %6d %8d %6d %12s %12s %7.2fx %9v %10v\n",
+			pt.Family, pt.Backend, pt.Cells, pt.Streams, pt.Components,
 			time.Duration(pt.MonoWallUs)*time.Microsecond,
 			time.Duration(pt.DecompWallUs)*time.Microsecond,
 			speedup, pt.Verified, pt.PlansIdentical)

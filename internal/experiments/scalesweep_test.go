@@ -12,7 +12,7 @@ import (
 // families.
 func TestCorpusProblemShape(t *testing.T) {
 	for _, family := range CorpusFamilies {
-		p, err := corpusProblem(family, 3, DefaultSeed)
+		p, err := CorpusProblem(family, 3, DefaultSeed)
 		if err != nil {
 			t.Fatalf("%s: %v", family, err)
 		}
@@ -52,11 +52,11 @@ func TestCorpusProblemShape(t *testing.T) {
 // with the same fingerprint as the monolithic solve.
 func TestCorpusSolveIdentity(t *testing.T) {
 	for _, family := range CorpusFamilies {
-		monoRes, monoFP, _, err := corpusSolve(family, 3, DefaultSeed, false)
+		monoRes, monoFP, _, err := corpusSolve(family, 3, DefaultSeed, core.BackendRace, false)
 		if err != nil {
 			t.Fatalf("%s monolithic: %v", family, err)
 		}
-		decompRes, decompFP, _, err := corpusSolve(family, 3, DefaultSeed, true)
+		decompRes, decompFP, _, err := corpusSolve(family, 3, DefaultSeed, core.BackendRace, true)
 		if err != nil {
 			t.Fatalf("%s decomposed: %v", family, err)
 		}
@@ -66,7 +66,7 @@ func TestCorpusSolveIdentity(t *testing.T) {
 		if len(monoRes.Expanded) != len(decompRes.Expanded) {
 			t.Fatalf("%s: expanded %d vs %d streams", family, len(monoRes.Expanded), len(decompRes.Expanded))
 		}
-		p, err := corpusProblem(family, 3, DefaultSeed)
+		p, err := CorpusProblem(family, 3, DefaultSeed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,8 +94,9 @@ func TestSingleComponentCheck(t *testing.T) {
 }
 
 // TestValidateScaleGates exercises the artifact validator on the scale
-// section: a healthy sweep passes, and each gate trips on the exact
-// regression it guards.
+// section: a healthy sweep passes (including race rows where decomposing
+// is slower, which are information only), and each gate trips on the
+// exact regression it guards.
 func TestValidateScaleGates(t *testing.T) {
 	healthy := func() *BenchArtifact {
 		return &BenchArtifact{
@@ -106,10 +107,14 @@ func TestValidateScaleGates(t *testing.T) {
 				Cpus:           1,
 				StreamsPerCell: CorpusStreamsPerCell,
 				Points: []BenchScalePoint{
-					{Family: "tree", Cells: 4, Streams: 200, Components: 4,
+					{Family: "tree", Backend: "race", Cells: 4, Streams: 200, Components: 4,
 						MonoWallUs: 1000, DecompWallUs: 1500, Verified: true, PlansIdentical: true},
-					{Family: "tree", Cells: 44, Streams: 2200, Components: 44,
-						MonoWallUs: 200_000, DecompWallUs: 120_000, Verified: true, PlansIdentical: true},
+					{Family: "tree", Backend: "race", Cells: 44, Streams: 2200, Components: 44,
+						MonoWallUs: 80_000, DecompWallUs: 90_000, Verified: true, PlansIdentical: true},
+					{Family: "tree", Backend: "smt-incremental", Cells: 4, Streams: 200, Components: 4,
+						MonoWallUs: 1_500_000, DecompWallUs: 200_000, Verified: true, PlansIdentical: true},
+					{Family: "tree", Backend: "smt-incremental", Cells: 8, Streams: 400, Components: 8,
+						MonoWallUs: 6_500_000, DecompWallUs: 400_000, Verified: true, PlansIdentical: true},
 				},
 				SingleComponent: BenchScaleSingle{Streams: 48, Components: 1, Identical: true},
 			},
@@ -127,7 +132,9 @@ func TestValidateScaleGates(t *testing.T) {
 		{"diverged", func(a *BenchArtifact) { a.Scale.Points[1].PlansIdentical = false }, "diverged"},
 		{"monolithic component", func(a *BenchArtifact) { a.Scale.Points[0].Components = 1 }, "must decompose"},
 		{"too small", func(a *BenchArtifact) { a.Scale.Points[1].Streams = 1999 }, "tops out"},
-		{"no speedup", func(a *BenchArtifact) { a.Scale.Points[1].DecompWallUs = 300_000 }, "not below monolithic"},
+		{"no speedup", func(a *BenchArtifact) { a.Scale.Points[3].DecompWallUs = 7_000_000 }, "not below monolithic"},
+		{"no exact rows", func(a *BenchArtifact) { a.Scale.Points = a.Scale.Points[:2] }, "no smt-incremental points"},
+		{"unknown backend", func(a *BenchArtifact) { a.Scale.Points[0].Backend = "greedy" }, "backend \"greedy\""},
 		{"control split", func(a *BenchArtifact) { a.Scale.SingleComponent.Components = 2 }, "want 1"},
 		{"control diverged", func(a *BenchArtifact) { a.Scale.SingleComponent.Identical = false }, "differ"},
 	}

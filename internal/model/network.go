@@ -223,6 +223,21 @@ func (n *Network) Links() []*Link {
 	return out
 }
 
+// UniformTimeUnit returns the time unit every link shares, scanning the
+// links without sorting them; ok is false when two links disagree. A
+// network without links reports (0, true).
+func (n *Network) UniformTimeUnit() (unit time.Duration, ok bool) {
+	first := true
+	for _, l := range n.links {
+		if first {
+			unit, first = l.TimeUnit, false
+		} else if l.TimeUnit != unit {
+			return 0, false
+		}
+	}
+	return unit, true
+}
+
 // Neighbors returns the nodes reachable over one directed link from id,
 // sorted for deterministic iteration. The caller may mutate the result.
 func (n *Network) Neighbors(id NodeID) []NodeID {

@@ -17,7 +17,7 @@ import (
 //     deadline: ECT may displace shared slots into pooled drain reserves
 //     the stream's own slot chain does not cover, and the deadline is what
 //     the scheduler guarantees under that displacement.
-//   - E-TSN ECT streams: core.ECTWorstCaseBound (schedule term plus
+//   - E-TSN ECT streams: core.ECTWorstCaseBounds (schedule term plus
 //     per-hop non-preemptive blocking and EP-window gaps).
 //   - PERIOD ECT streams: an event waits at most one dedicated period for
 //     the reservation chain, then rides it like a TCT stream.
@@ -75,16 +75,8 @@ func (pl *Plan) Bounds(network *model.Network, ects []*model.ECT) map[model.Stre
 	}
 	// E-TSN ECT streams appear in the schedule as probabilistic
 	// possibilities pointing at their parent.
-	parents := make(map[model.StreamID]bool)
-	for _, st := range pl.Schedule.Streams {
-		if st.Type == model.StreamProb && st.Parent != "" {
-			parents[st.Parent] = true
-		}
-	}
-	for parent := range parents {
-		if b, err := core.ECTWorstCaseBound(network, pl.Result, parent); err == nil {
-			out[parent] = b
-		}
+	for parent, b := range core.ECTWorstCaseBounds(network, pl.Result) {
+		out[parent] = b
 	}
 	return out
 }
